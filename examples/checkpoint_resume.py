@@ -2,7 +2,7 @@
 """Checkpoint a run mid-flight, restore it, and finish both copies.
 
 The §2 microburst experiment runs to its halfway point, a checkpoint
-captures the whole simulator — scheduler queue, clock, every extern's
+captures the whole simulator — event queue, clock, every extern's
 StateStore cells, the workload generators' RNG state — and then the
 original and the restored copy both run to completion.  They produce
 the same detections, the same extern contents, and the same event
@@ -10,10 +10,10 @@ counts, demonstrating that a checkpoint is a faithful fork of the
 simulation.
 
 This example restores in-process for brevity; the CLI does the same
-across processes (and even across scheduler backends)::
+across processes::
 
     python -m repro.cli checkpoint --ckpt mb.ckpt --at-ps 10000000000
-    python -m repro.cli resume --ckpt mb.ckpt --scheduler wheel
+    python -m repro.cli resume --ckpt mb.ckpt
 
 Run:  python examples/checkpoint_resume.py
 """

@@ -22,6 +22,10 @@ synchronously in dedicated logical pipelines
 Event Merger of a single physical pipeline
 (:class:`~repro.arch.sume.SumeEventSwitch`), or not at all
 (:class:`~repro.arch.baseline.BaselinePsaSwitch`).
+
+The compiled packet-event dispatch (:func:`compile_switch`) lives here
+with the interpreted one it replaces; :mod:`repro.pisa.compile`
+supplies the fused pipeline walks it drives.
 """
 
 from __future__ import annotations
@@ -31,14 +35,12 @@ from typing import Callable, Dict, List, Optional
 
 from repro.arch.bus import EventBus
 from repro.arch.description import ArchitectureDescription, UnsupportedEventError
-from repro.arch.events import Event, EventType
+from repro.arch.events import PIPELINE_PACKET_EVENTS, Event, EventType
 from repro.arch.program import P4Program, ProgramContext
 from repro.packet.packet import Packet
 from repro.packet.parser import Parser, standard_parser
-from repro.pisa.compile import compile_switch
 from repro.pisa.compile import env_enabled as compile_env_enabled
-from repro.pisa.fastpath import FlowFastpath
-from repro.pisa.fastpath import env_enabled as fastpath_env_enabled
+from repro.pisa.compile import make_walk
 from repro.pisa.flowcache import UNCACHEABLE, FlowCache, env_enabled
 from repro.pisa.metadata import MetadataPool, StandardMetadata
 from repro.sim.kernel import Simulator
@@ -117,6 +119,135 @@ class _TmEventHook:
         )
 
 
+# ----------------------------------------------------------------------
+# Compiled packet-event dispatch (see repro.pisa.compile for the walks)
+# ----------------------------------------------------------------------
+def _gen_dispatch(switch, kind: EventType, cell: List) -> Callable:
+    """One flat dispatch function for ``kind`` with the interpreter's
+    per-packet decisions folded: handler presence, shared-register
+    tagging (omitted entirely when the program has none), elision
+    pipeline, and the kind's accounting all become closed-over
+    constants.  ``switch.flow_cache`` stays a live read so cache
+    enable/disable needs no recompile."""
+    program = switch.program
+    fn = program.handler_for(kind)
+    ns: Dict[str, object] = {
+        "fired": switch.bus.fired,
+        "handled": switch.bus.handled,
+        "KIND": kind,
+        "switch": switch,
+        "ctx": switch.ctx,
+        "cell": cell,
+        "fn": fn,
+        "UNCACHEABLE": UNCACHEABLE,
+    }
+    if fn is None:
+        # No handler for this kind: the whole dispatch is one counter
+        # bump.  A plain closure is identical to what exec() would
+        # build, and skipping the compile keeps handler-less kinds
+        # (EGRESS on most L3 programs) free on cold switches.
+        fired = switch.bus.fired
+
+        def _dispatch(pkt, meta, _fired=fired, _kind=kind):
+            _fired[_kind] += 1
+
+        _dispatch.__repro_source__ = "def _dispatch(pkt, meta):\n    fired[KIND] += 1"
+        return _dispatch
+    regs = switch._shared_regs
+    if regs:
+        ns["_st"] = switch._set_thread
+        ns["KV"] = kind.value
+        enter, leave = ["_st(KV)", "try:"], ["finally:", "    _st(None)"]
+    else:
+        enter, leave = [], []
+
+    def guarded(call: str) -> List[str]:
+        if not regs:
+            return [call]
+        return ["_st(KV)", "try:", f"    {call}", "finally:", "    _st(None)"]
+
+    pipeline = switch._pipeline_for_kind(kind)
+    if pipeline is not None:
+        ns["pipeline"] = pipeline
+        elide = ["pipeline.walks_elided += 1"]
+    else:
+        elide = []
+    lines = [
+        "def _dispatch(pkt, meta):",
+        "    fired[KIND] += 1",
+        "    cache = switch.flow_cache",
+        "    if cache is None:",
+        *[f"        {ln}" for ln in guarded("cell[0](ctx, pkt, meta)")],
+        "        handled[KIND] += 1",
+        "        return",
+        "    key = cache.flow_key(KIND, pkt, meta)",
+        "    entry = cache.lookup(key)",
+        "    if entry is not None:",
+        "        if entry is UNCACHEABLE:",
+        *[f"            {ln}" for ln in guarded("cell[0](ctx, pkt, meta)")],
+        "        else:",
+        "            cache.replay(entry, pkt, meta)",
+        *[f"            {ln}" for ln in elide],
+        "        handled[KIND] += 1",
+        "        return",
+        "    rec, rctx, rmeta = cache.begin(ctx, pkt, meta)",
+        *[f"    {ln}" for ln in enter],
+        f"    {'    ' if regs else ''}try:",
+        f"    {'    ' if regs else ''}    fn(rctx, pkt, rmeta)",
+        f"    {'    ' if regs else ''}except BaseException:",
+        f"    {'    ' if regs else ''}    cache.abort(rec)",
+        f"    {'    ' if regs else ''}    raise",
+        *[f"    {ln}" for ln in leave],
+        "    cache.commit(rec, key, pkt, meta)",
+        "    handled[KIND] += 1",
+    ]
+    src = "\n".join(lines)
+    exec(src, ns)
+    dispatch = ns["_dispatch"]
+    dispatch.__repro_source__ = src
+    return dispatch
+
+
+def _compile_kind(switch, kind: EventType) -> Callable:
+    """Generate the specialized dispatch function for one event kind."""
+    program = switch.program
+    fn = program.handler_for(kind)
+    cell: List = [None]
+    if fn is not None:
+        walk = make_walk(program, kind, cell)
+        cell[0] = walk if walk is not None else fn
+    return _gen_dispatch(switch, kind, cell)
+
+
+def compile_switch(switch) -> Optional[Dict[EventType, Callable]]:
+    """Specialize ``switch``'s packet-event dispatch for its loaded
+    program: one exec-generated dispatch function per pipeline packet
+    event, each driving the program's fused walk when it has one (the
+    interpreted handler otherwise).  Returns None with no program.
+
+    Generation is lazy per kind: each entry starts as a trampoline that
+    compiles the real function on that kind's first packet and swaps
+    itself out of the dict — a switch that only ever sees INGRESS
+    packets pays for one generated function, not four.  (This matters
+    at fleet scale: a sharded fat tree compiles dozens of switches
+    whose per-switch packet counts are small.)"""
+    if switch.program is None:
+        return None
+    dispatch: Dict[EventType, Callable] = {}
+
+    def lazy(kind: EventType) -> Callable:
+        def trampoline(pkt, meta):
+            fn = _compile_kind(switch, kind)
+            dispatch[kind] = fn
+            return fn(pkt, meta)
+
+        return trampoline
+
+    for kind in sorted(PIPELINE_PACKET_EVENTS, key=lambda k: k.value):
+        dispatch[kind] = lazy(kind)
+    return dispatch
+
+
 class SwitchContext(ProgramContext):
     """The :class:`ProgramContext` implementation for real switches."""
 
@@ -157,6 +288,9 @@ class SwitchBase:
     #: the exec() cost of generating it.
     COMPILE_WARMUP = 16
 
+    #: No switch fuses multi-hop deliveries; kept readable for tooling.
+    flow_fastpath = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -170,7 +304,6 @@ class SwitchBase:
         bus: Optional[EventBus] = None,
         flow_cache: Optional[bool] = None,
         compile: Optional[bool] = None,
-        fastpath: Optional[bool] = None,
     ) -> None:
         self.sim = sim
         self.description = description
@@ -199,7 +332,6 @@ class SwitchBase:
         self.tm.hooks.on_overflow = self._tm_hook(EventType.BUFFER_OVERFLOW)
         self.tm.hooks.on_underflow = self._tm_hook(EventType.BUFFER_UNDERFLOW)
         self.tm.hooks.on_transmit = self._tm_hook(EventType.PACKET_TRANSMITTED)
-        self.tm.fastpath_disrupt = self.fastpath_disrupt
         self.program: Optional[P4Program] = None
         self._shared_regs: tuple = ()
         self._event_handlers: Dict[EventType, Callable] = {}
@@ -244,17 +376,6 @@ class SwitchBase:
             compile = compile_env_enabled()
         self.pipeline_compile = bool(compile)
         self._compiled = None if self.pipeline_compile else False
-        # The end-to-end flow fastpath (repro.pisa.fastpath): fuses a
-        # fully cached multi-hop delivery into one kernel event.
-        # ``fastpath=`` overrides the REPRO_FLOW_FASTPATH environment
-        # default (on); only the baseline PSA datapath ever fuses, but
-        # the registry lives here so interior hops carry their own
-        # stats and fused-window watermark.
-        if fastpath is None:
-            fastpath = fastpath_env_enabled()
-        self.flow_fastpath: Optional[FlowFastpath] = (
-            FlowFastpath(sim, self, name=name) if fastpath else None
-        )
         # Generating the specialized code costs a couple of exec()s per
         # switch (~0.5 ms), which only pays for itself on switches that
         # actually process packets: interpret the first COMPILE_WARMUP
@@ -298,11 +419,6 @@ class SwitchBase:
             # the generation-vector dependencies (tables, versioned
             # route dicts) and the externs to shim during recording.
             self.flow_cache.attach(program)
-        if self.flow_fastpath is not None:
-            # Fused paths memoize this switch's cached decisions; a new
-            # program voids them (interior hops are caught by the
-            # attach-epoch in the path generation vector).
-            self.flow_fastpath.clear()
         program.on_load(self.ctx)
 
     def require_program(self) -> P4Program:
@@ -328,7 +444,6 @@ class SwitchBase:
             raise IndexError(f"port {port} out of range")
         if bool(self._link_up[port]) == up:
             return
-        self.fastpath_disrupt()
         self._link_up[port] = int(up)
         self.tm.set_port_enabled(port, up)
         if self.description.supports(EventType.LINK_STATUS):
@@ -354,25 +469,11 @@ class SwitchBase:
         Packets already accepted into the traffic manager keep draining —
         a stalled ASIC's serializers do not un-send what they queued.
         """
-        self.fastpath_disrupt()
         self.stalled = True
 
     def unstall(self) -> None:
         """Resume ingress processing and timer delivery."""
-        self.fastpath_disrupt()
         self.stalled = False
-
-    def fastpath_disrupt(self) -> None:
-        """Materialize in-flight fused deliveries crossing this switch.
-
-        Every disruption entry point (link transition, stall/unstall,
-        TM port pause, impairment attach, fault-injector checkpoint)
-        calls this before mutating state, so a fused window never
-        straddles a change it could not have seen; the packets finish
-        their journeys on the ordinary per-hop code paths."""
-        fastpath = self.flow_fastpath
-        if fastpath is not None and fastpath._active:
-            fastpath.disrupt()
 
     def control_event(self, meta: Dict[str, int]) -> None:
         """The control plane triggers a CONTROL_PLANE event."""

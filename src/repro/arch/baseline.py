@@ -62,16 +62,6 @@ class BaselinePsaSwitch(SwitchBase):
         if self.stalled:
             self.stalled_rx_drops += 1
             return
-        fastpath = self.flow_fastpath
-        if (
-            fastpath is not None
-            and not pkt.recirculated
-            and not pkt.generated
-            and fastpath.handle(pkt, port)
-        ):
-            # The whole multi-hop delivery was fused into one event; all
-            # per-hop bookkeeping (rx_packets included) lands at arrival.
-            return
         self.rx_packets += 1
         pkt.ingress_port = port
         self.sim.call_after(

@@ -97,10 +97,6 @@ class EventBus:
         self._wildcard: List[Subscriber] = []
         self._dispatcher: Optional[DispatcherFn] = None
         self._observers: List[BusObserver] = list(EventBus._global_observers)
-        #: Bumped on every observer attach/detach; the flow fastpath
-        #: folds it into its path generation vectors so observer churn
-        #: invalidates fused entries (observers need per-hop visibility).
-        self.observer_epoch = 0
 
     # ------------------------------------------------------------------
     # Wiring
@@ -126,12 +122,10 @@ class EventBus:
     def add_observer(self, observer: BusObserver) -> None:
         """Attach an observer to this bus only."""
         self._observers.append(observer)
-        self.observer_epoch += 1
 
     def remove_observer(self, observer: BusObserver) -> None:
         """Detach a per-bus observer."""
         self._observers.remove(observer)
-        self.observer_epoch += 1
 
     @classmethod
     def register_global_observer(cls, observer: BusObserver) -> None:

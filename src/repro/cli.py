@@ -16,12 +16,11 @@ Two observability subcommands instrument an experiment's event buses
     python -m repro.cli events-stats --source catalog
     python -m repro.cli events-trace --out events.jsonl --limit 5
 
-Long runs checkpoint mid-flight and resume in a fresh process (even on
-the other scheduler backend — event order is identical)::
+Long runs checkpoint mid-flight and resume in a fresh process::
 
     python -m repro.cli checkpoint --ckpt mb.ckpt --at-ps 10000000000
     python -m repro.cli resume --ckpt mb.ckpt --info
-    python -m repro.cli resume --ckpt mb.ckpt --scheduler wheel
+    python -m repro.cli resume --ckpt mb.ckpt
 
 Benchmark sweeps are resumable too: ``bench --resume progress.json``
 skips benchmarks an interrupted sweep already recorded.
@@ -270,13 +269,11 @@ def event_sources() -> List[str]:
 def run_events_stats(source: str = "microburst") -> None:
     """EventBus counters and dispatch-latency histograms for one experiment."""
     from repro.obs import DispatchLatencyHistogram, EventCounters, observing
-    from repro.pisa.fastpath import collecting_fastpaths
     from repro.pisa.flowcache import collecting_caches
 
     counters = EventCounters()
     histogram = DispatchLatencyHistogram()
-    with observing(counters, histogram), collecting_caches() as caches, \
-            collecting_fastpaths() as fastpaths:
+    with observing(counters, histogram), collecting_caches() as caches:
         extras = _run_event_source(source)
     _print(f"EventBus counters ({source})", counters.summary_rows())
     _print(
@@ -284,7 +281,6 @@ def run_events_stats(source: str = "microburst") -> None:
         histogram.summary_rows(),
     )
     _print(f"flow-decision cache ({source})", _flow_cache_rows(caches))
-    _print(f"flow fastpath ({source})", _fastpath_rows(fastpaths))
     for title, rows in extras.items():
         _print(title, rows)
     print(
@@ -319,54 +315,6 @@ def _flow_cache_rows(caches) -> List[str]:
         f"{'total':<16}{totals['hits']:>10}{totals['misses']:>10}"
         f"{totals['uncacheable']:>13}{totals['invalidations']:>13}"
         f"{totals['evictions']:>9}{rate:>10.1%}"
-    )
-    return rows
-
-
-def _fastpath_rows(fastpaths) -> List[str]:
-    """Per-switch path/fusion rows plus an aggregate line.
-
-    Note: ``events-stats`` itself attaches bus observers, which the
-    fastpath treats as a reason not to fuse (observers need per-hop
-    event visibility) — under this command every delivery is expected
-    to show up as an ``observer`` fallback.
-    """
-    if not fastpaths:
-        return ["flow fastpath disabled (REPRO_FLOW_FASTPATH=0 or fastpath=False)"]
-    header = (
-        f"{'switch':<16}{'paths':>7}{'fused':>8}{'fallbacks':>11}"
-        f"{'invalidated':>13}{'fuse rate':>11}  top fallback reasons"
-    )
-    rows = [header]
-    totals = {"paths_built": 0, "fused": 0, "invalidations": 0}
-    reasons: Dict[str, int] = {}
-    for fastpath in fastpaths:
-        stats = fastpath.stats
-        for key in totals:
-            totals[key] += getattr(stats, key)
-        for reason, count in stats.fallbacks.items():
-            reasons[reason] = reasons.get(reason, 0) + count
-        top = ", ".join(
-            f"{reason}={count}"
-            for reason, count in sorted(
-                stats.fallbacks.items(), key=lambda item: -item[1]
-            )[:3]
-        )
-        rows.append(
-            f"{fastpath.name or '<anon>':<16}{stats.paths_built:>7}"
-            f"{stats.fused:>8}{stats.fallbacks_total:>11}"
-            f"{stats.invalidations:>13}{stats.fuse_rate:>11.1%}  {top}"
-        )
-    fallbacks_total = sum(reasons.values())
-    attempts = totals["fused"] + fallbacks_total
-    rate = totals["fused"] / attempts if attempts else 0.0
-    top = ", ".join(
-        f"{reason}={count}"
-        for reason, count in sorted(reasons.items(), key=lambda item: -item[1])[:3]
-    )
-    rows.append(
-        f"{'total':<16}{totals['paths_built']:>7}{totals['fused']:>8}"
-        f"{fallbacks_total:>11}{totals['invalidations']:>13}{rate:>11.1%}  {top}"
     )
     return rows
 
@@ -568,7 +516,6 @@ def run_chaos(
     out: str = "chaos_verdicts.jsonl",
     compile_arm: bool = False,
     forked: bool = False,
-    fastpath_arm: bool = False,
 ) -> int:
     """Run the fault-injection grid; nonzero exit on invariant violations."""
     from repro.faults import chaos
@@ -578,7 +525,7 @@ def run_chaos(
     seeds = list(range(seed, seed + seed_sweep)) if seed_sweep > 0 else [seed]
     records = chaos.run_grid(
         plans, apps, seeds, out_path=out, compile_arm=compile_arm,
-        forked=forked, fastpath_arm=fastpath_arm,
+        forked=forked,
     )
     _print(
         f"chaos grid: {len(plans)} plan(s) x {len(apps)} app(s) x "
@@ -927,7 +874,7 @@ def _header_rows(header: Dict) -> List[str]:
     rows = [
         f"label={header.get('label') or '(none)'} "
         f"version={header['version']} python={header.get('python')}",
-        f"scheduler={header['scheduler']} now={header['now_ps']}ps "
+        f"now={header['now_ps']}ps "
         f"executed={header['events_executed']} pending={header['pending_events']}",
     ]
     stores = header.get("stores", [])
@@ -962,7 +909,7 @@ def run_checkpoint(ckpt: str, at_ps: int, duration_ps: int) -> int:
     return 0
 
 
-def run_resume(ckpt: str, info: bool = False, scheduler: str = "") -> int:
+def run_resume(ckpt: str, info: bool = False) -> int:
     """Resume a checkpointed microburst run (or --info: describe the file)."""
     from repro.sim.checkpoint import inspect_checkpoint, load_checkpoint
 
@@ -974,7 +921,7 @@ def run_resume(ckpt: str, info: bool = False, scheduler: str = "") -> int:
         finish_event_driven,
     )
 
-    sim, setup, header = load_checkpoint(ckpt, scheduler or None)
+    _sim, setup, header = load_checkpoint(ckpt)
     if not isinstance(setup, MicroburstSetup):
         print(
             f"error: {ckpt} holds {type(setup).__name__}, not a "
@@ -984,8 +931,7 @@ def run_resume(ckpt: str, info: bool = False, scheduler: str = "") -> int:
         return 2
     result = finish_event_driven(setup)
     _print(
-        f"§2: microburst detection (resumed from {header['now_ps']}ps "
-        f"on {sim.scheduler})",
+        f"§2: microburst detection (resumed from {header['now_ps']}ps)",
         [result.summary_row()],
     )
     return 0
@@ -1201,13 +1147,6 @@ def main(argv: List[str] = None) -> int:
         "each cell and gate it against the interpreted reference",
     )
     parser.add_argument(
-        "--fastpath-arm",
-        action="store_true",
-        help="chaos: add a flow-fastpath arm (fused deliveries, "
-        "materialized on disruption) to each cell and gate it against a "
-        "fastpath-pinned-off reference",
-    )
-    parser.add_argument(
         "--forked",
         action="store_true",
         help="chaos: build each (app, seed, arm) once and Simulator.fork() "
@@ -1235,12 +1174,6 @@ def main(argv: List[str] = None) -> int:
         "--info",
         action="store_true",
         help="resume: print the checkpoint header and exit",
-    )
-    parser.add_argument(
-        "--scheduler",
-        choices=("", "heap", "wheel"),
-        default="",
-        help="resume: re-backend the restored kernel (order is identical)",
     )
     args = parser.parse_args(argv)
     if args.experiment == "list":
@@ -1302,12 +1235,11 @@ def main(argv: List[str] = None) -> int:
             else args.out,
             compile_arm=args.compile_arm,
             forked=args.forked,
-            fastpath_arm=args.fastpath_arm,
         )
     if args.experiment == "checkpoint":
         return run_checkpoint(args.ckpt, args.at_ps, args.duration_ps)
     if args.experiment == "resume":
-        return run_resume(args.ckpt, info=args.info, scheduler=args.scheduler)
+        return run_resume(args.ckpt, info=args.info)
     if args.experiment == "events-stats":
         run_events_stats(args.source)
         return 0

@@ -13,7 +13,6 @@ Schema (version 1)::
       "schema": 1,
       "label": "pr2",                  # trajectory point name
       "python": "3.11.7",
-      "scheduler": "heap",             # kernel backend measured
       "benchmarks": {
         "kernel": {
           "rounds": 5,
@@ -47,7 +46,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import run_points
-from repro.sim.kernel import SCHEDULER_ENV, Simulator
+from repro.sim.kernel import Simulator
 
 #: Events dispatched per kernel round (matches the pytest benchmark).
 KERNEL_EVENTS = 20_000
@@ -132,12 +131,8 @@ def switch_cached_round() -> Tuple[float, int]:
 
     start = perf_counter()
     # The round measures the cache, so force it on regardless of the
-    # ambient REPRO_FLOW_CACHE setting — and pin the flow fastpath off
-    # so per-hop replay is what gets timed (switch_fastpath measures
-    # the fused path).
-    network = build_linear(
-        make_baseline_switch(flow_cache=True, fastpath=False), switch_count=1
-    )
+    # ambient REPRO_FLOW_CACHE setting.
+    network = build_linear(make_baseline_switch(flow_cache=True), switch_count=1)
     program = L3Router()
     program.install_host_routes({H0_IP: 0, H1_IP: 1})
     program.deny_flow(src=0x7F00_0001, src_mask=0xFFFF_FFFF, priority=5)
@@ -180,7 +175,7 @@ def switch_compiled_round() -> Tuple[float, int]:
 
     start = perf_counter()
     network = build_linear(
-        make_baseline_switch(flow_cache=False, compile=True, fastpath=False),
+        make_baseline_switch(flow_cache=False, compile=True),
         switch_count=1,
     )
     program = L3Router()
@@ -206,60 +201,6 @@ def switch_compiled_round() -> Tuple[float, int]:
     switch = network.switches["s0"]
     if not switch._compiled:
         raise RuntimeError("switch_compiled round ran without compiled dispatch")
-    return wall, network.sim.events_executed
-
-
-def switch_fastpath_round() -> Tuple[float, int]:
-    """One timed round through the end-to-end flow fastpath.
-
-    The same baseline-PSA / :class:`L3Router` topology as
-    :func:`switch_cached_round` with the flow cache *and* the flow
-    fastpath on: after the first packet records the walk and the second
-    builds the path entry, every delivery is **one** fused kernel event
-    at the precomputed arrival time instead of the per-hop event
-    cadence.  Packets are spaced wider than the end-to-end pipeline
-    window (fusing requires a quiet path — continuous line-rate streams
-    fall back by design), so this round tracks the fused path's
-    throughput for paced flows; the identical topology keeps it directly
-    comparable to ``switch_cached``.  Multi-hop fusion is covered by the
-    equivalence tests and the chaos fastpath arm.
-    """
-    from repro.apps.l3fwd import L3Router
-    from repro.experiments.factories import make_baseline_switch
-    from repro.net.topology import build_linear
-    from repro.packet.builder import make_udp_packet
-
-    start = perf_counter()
-    network = build_linear(
-        make_baseline_switch(flow_cache=True, fastpath=True), switch_count=1
-    )
-    for name in ("s0",):
-        program = L3Router()
-        program.install_host_routes({H0_IP: 0, H1_IP: 1})
-        program.deny_flow(src=0x7F00_0001, src_mask=0xFFFF_FFFF, priority=5)
-        network.switches[name].load_program(program)
-    received: List[object] = []
-    network.hosts["h1"].add_sink(received.append)
-    h0 = network.hosts["h0"]
-    for i in range(SWITCH_PACKETS):
-        network.sim.call_at(
-            1_000 + i * 8_000_000,
-            h0.send,
-            make_udp_packet(H0_IP, H1_IP, payload_len=200),
-        )
-    network.run()
-    wall = perf_counter() - start
-    if len(received) != SWITCH_PACKETS:
-        raise RuntimeError(
-            f"switch_fastpath round delivered {len(received)} packets, "
-            f"expected {SWITCH_PACKETS}"
-        )
-    fastpath = network.switches["s0"].flow_fastpath
-    if fastpath is None or fastpath.stats.fused < SWITCH_PACKETS - 2:
-        raise RuntimeError(
-            "switch_fastpath round ran without fused deliveries "
-            f"({fastpath.stats if fastpath else 'fastpath off'})"
-        )
     return wall, network.sim.events_executed
 
 
@@ -301,7 +242,6 @@ BENCH_ROUNDS = {
     "switch": switch_round,
     "switch_cached": switch_cached_round,
     "switch_compiled": switch_compiled_round,
-    "switch_fastpath": switch_fastpath_round,
     "switch_sharded": switch_sharded_round,
 }
 
@@ -431,7 +371,6 @@ def _snapshot(
         "schema": 1,
         "label": label,
         "python": sys.version.split()[0],
-        "scheduler": os.environ.get(SCHEDULER_ENV) or "heap",
         "benchmarks": benchmarks,
     }
     if host_speed is not None:
@@ -442,10 +381,9 @@ def _snapshot(
 def _load_progress(progress_path: Optional[str], label: str, rounds: int) -> Dict[str, Dict]:
     """Benchmarks already recorded by an interrupted :func:`collect`.
 
-    A progress file is only trusted when its label, scheduler backend,
-    and per-benchmark round count match the current invocation — a
-    mismatched file is ignored, not an error, so stale progress can
-    never poison a sweep.
+    A progress file is only trusted when its label and per-benchmark
+    round count match the current invocation — a mismatched file is
+    ignored, not an error, so stale progress can never poison a sweep.
     """
     if not progress_path or not os.path.exists(progress_path):
         return {}
@@ -454,8 +392,6 @@ def _load_progress(progress_path: Optional[str], label: str, rounds: int) -> Dic
     except (OSError, ValueError):
         return {}
     if data.get("label") != label:
-        return {}
-    if data.get("scheduler") != (os.environ.get(SCHEDULER_ENV) or "heap"):
         return {}
     return {
         name: entry
@@ -500,7 +436,7 @@ def collect(
             "events": events,
             "events_per_sec": events / best,
         }
-        if name in ("switch", "switch_cached", "switch_compiled", "switch_fastpath"):
+        if name in ("switch", "switch_cached", "switch_compiled"):
             entry["packets"] = SWITCH_PACKETS
             entry["pkts_per_sec"] = SWITCH_PACKETS / best
         benchmarks[name] = entry
@@ -701,7 +637,7 @@ def delta_markdown(
     """
     lines = [
         f"### Benchmark deltas — label `{current['label']}`, "
-        f"scheduler `{current['scheduler']}`, python {current['python']}",
+        f"python {current['python']}",
         "",
         "| benchmark | best | mean | stddev | CoV | rounds | "
         + " | ".join(label for label, _data in baselines)
@@ -775,8 +711,7 @@ def delta_markdown(
 def summary_rows(data: Dict) -> List[str]:
     """Human-readable rows for one snapshot (CLI output)."""
     rows = [
-        f"label={data['label']} scheduler={data['scheduler']} "
-        f"python={data['python']}"
+        f"label={data['label']} python={data['python']}"
     ]
     host_speed = data.get("host_speed")
     if host_speed:

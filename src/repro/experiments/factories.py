@@ -30,7 +30,6 @@ def make_baseline_switch(
     scheduler_factory=None,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ):
     """Factory for Figure 1 baseline PSA switches."""
 
@@ -44,7 +43,6 @@ def make_baseline_switch(
             scheduler_factory=scheduler_factory,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         )
 
     return factory
@@ -56,7 +54,6 @@ def make_logical_switch(
     scheduler_factory=None,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ):
     """Factory for Figure 2 logical event-driven switches."""
 
@@ -70,7 +67,6 @@ def make_logical_switch(
             scheduler_factory=scheduler_factory,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         )
 
     return factory
@@ -82,7 +78,6 @@ def make_sume_switch(
     scheduler_factory=None,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
     full_events: bool = False,
     merger_injection_enabled: bool = True,
     merger_queue_capacity: int = 64,
@@ -106,7 +101,6 @@ def make_sume_switch(
             merger_queue_capacity=merger_queue_capacity,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         )
 
     return factory
@@ -118,7 +112,6 @@ def make_emulated_switch(
     recirc_queue_capacity: int = 128,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ):
     """Factory for §6 Tofino-like switches with event emulation."""
 
@@ -132,7 +125,6 @@ def make_emulated_switch(
             recirc_queue_capacity=recirc_queue_capacity,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         )
 
     return factory

@@ -6,11 +6,6 @@ with the same seed; the two behavior fingerprints must match exactly
 With ``compile_arm`` a **third** arm runs the compiled pipelines
 (:mod:`repro.pisa.compile`) against an interpreter-pinned cache-off
 reference, extending the same exactness contract to compiled walks.
-With ``fastpath_arm`` another arm runs the flow fastpath
-(:mod:`repro.pisa.fastpath`) against a fastpath-pinned-off cache-on
-reference: fused multi-hop deliveries — including windows a fault
-interrupts mid-flight, which disruption-time materialization hands
-back to the per-hop machinery — must fingerprint identically.
 The cache-on run carries the invariant monitors; the resulting verdict
 record is one JSON object with sorted keys, so the JSONL report is
 byte-identical across replays of the same grid and seed.
@@ -73,13 +68,6 @@ def run_instance_on(scenario: Scenario, plan_name: str, seed: int) -> Dict[str, 
 
     injector.arm()
     scenario.network.run(until_ps=scenario.duration_ps)
-    # Settle fused in-flight windows at the cutoff: materialization
-    # retro-applies exactly the hops in the virtual past, so counters
-    # reflect the same partial progress the per-hop arms show.
-    for _name, switch in sorted(scenario.network.switches.items()):
-        disrupt = getattr(switch, "fastpath_disrupt", None)
-        if disrupt is not None:
-            disrupt()
 
     violations: List[str] = []
     violations.extend(conservation.check())
@@ -88,7 +76,6 @@ def run_instance_on(scenario: Scenario, plan_name: str, seed: int) -> Dict[str, 
 
     return {
         "violations": violations,
-        "fastpath": scenario.fastpath_totals(),
         "fingerprint": scenario.fingerprint(reconvergence.arrivals),
         "delivered": len(reconvergence.arrivals),
         "faults": log.count(),
@@ -109,12 +96,9 @@ def run_instance(
     seed: int,
     flow_cache: bool,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ) -> Dict[str, object]:
     """Build one scenario from scratch and run it monitored."""
-    scenario = build_scenario(
-        app_name, seed, flow_cache=flow_cache, compile=compile, fastpath=fastpath
-    )
+    scenario = build_scenario(app_name, seed, flow_cache=flow_cache, compile=compile)
     return run_instance_on(scenario, plan_name, seed)
 
 
@@ -136,7 +120,6 @@ def _cell_record(
     on: Dict[str, object],
     off: Dict[str, object],
     compiled: Optional[Dict[str, object]] = None,
-    fastpath: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Assemble one verdict record from its per-arm instance results.
 
@@ -152,10 +135,6 @@ def _cell_record(
         violations.extend(f"compiled:{message}" for message in compiled["violations"])
         violations.extend(_divergence("compile", compiled, off))
         arms = 3
-    if fastpath is not None:
-        violations.extend(f"fastpath:{message}" for message in fastpath["violations"])
-        violations.extend(_divergence("fastpath", fastpath, on))
-        arms += 1
 
     fingerprint_crc = zlib.crc32(repr(sorted(on["fingerprint"].items())).encode())
     return {
@@ -174,7 +153,6 @@ def _cell_record(
         "cache": on["cache"],
         "conservation": on["conservation"],
         "table_updates": on["table_updates"],
-        "fastpath": (fastpath if fastpath is not None else on)["fastpath"],
     }
 
 
@@ -183,28 +161,16 @@ def run_cell(
     app_name: str,
     seed: int,
     compile_arm: bool = False,
-    fastpath_arm: bool = False,
 ) -> Dict[str, object]:
-    """One verdict record: cache-on vs cache-off, plus optional arms.
+    """One verdict record: cache-on vs cache-off, plus an optional arm.
 
     With ``compile_arm`` the cache-off run is pinned to the interpreter
     (the reference path) and a third arm runs compiled with the cache
     off; its fingerprint must match the interpreted reference exactly
     (``compile-divergence`` otherwise), covering compiled execution with
     the same invariant monitors.
-
-    With ``fastpath_arm`` the cache-on run pins the flow fastpath off
-    (the per-hop reference) and another arm runs with the fastpath on;
-    any mismatch — including one caused by a fault interrupting a fused
-    window — is a ``fastpath-divergence`` violation.
     """
-    on = run_instance(
-        plan_name,
-        app_name,
-        seed,
-        flow_cache=True,
-        fastpath=False if fastpath_arm else None,
-    )
+    on = run_instance(plan_name, app_name, seed, flow_cache=True)
     off = run_instance(
         plan_name,
         app_name,
@@ -217,12 +183,7 @@ def run_cell(
         if compile_arm
         else None
     )
-    fastpath = (
-        run_instance(plan_name, app_name, seed, flow_cache=True, fastpath=True)
-        if fastpath_arm
-        else None
-    )
-    return _cell_record(plan_name, app_name, seed, on, off, compiled, fastpath)
+    return _cell_record(plan_name, app_name, seed, on, off, compiled)
 
 
 def run_forked_cells(
@@ -230,7 +191,6 @@ def run_forked_cells(
     apps: Sequence[str],
     seeds: Iterable[int],
     compile_arm: bool = False,
-    fastpath_arm: bool = False,
 ) -> List[Dict[str, object]]:
     """The grid with builds amortized by :func:`fork_scenario`.
 
@@ -248,12 +208,7 @@ def run_forked_cells(
     seed_list = list(seeds)
     for app_name in apps:
         for seed in seed_list:
-            base_on = build_scenario(
-                app_name,
-                seed,
-                flow_cache=True,
-                fastpath=False if fastpath_arm else None,
-            )
+            base_on = build_scenario(app_name, seed, flow_cache=True)
             base_off = build_scenario(
                 app_name,
                 seed,
@@ -265,11 +220,6 @@ def run_forked_cells(
                 if compile_arm
                 else None
             )
-            base_fast = (
-                build_scenario(app_name, seed, flow_cache=True, fastpath=True)
-                if fastpath_arm
-                else None
-            )
             for plan_name in plans:
                 on = run_instance_on(fork_scenario(base_on), plan_name, seed)
                 off = run_instance_on(fork_scenario(base_off), plan_name, seed)
@@ -278,13 +228,8 @@ def run_forked_cells(
                     if compile_arm
                     else None
                 )
-                fastpath = (
-                    run_instance_on(fork_scenario(base_fast), plan_name, seed)
-                    if fastpath_arm
-                    else None
-                )
                 by_cell[(plan_name, app_name, seed)] = _cell_record(
-                    plan_name, app_name, seed, on, off, compiled, fastpath
+                    plan_name, app_name, seed, on, off, compiled
                 )
     return [
         by_cell[(plan_name, app_name, seed)]
@@ -301,7 +246,6 @@ def run_grid(
     out_path: Optional[str] = None,
     compile_arm: bool = False,
     forked: bool = False,
-    fastpath_arm: bool = False,
 ) -> List[Dict[str, object]]:
     """Run every (plan, app, seed) cell; optionally stream JSONL to disk.
 
@@ -314,10 +258,7 @@ def run_grid(
     try:
         if forked:
             records.extend(
-                run_forked_cells(
-                    plans, apps, seeds, compile_arm=compile_arm,
-                    fastpath_arm=fastpath_arm,
-                )
+                run_forked_cells(plans, apps, seeds, compile_arm=compile_arm)
             )
             if out is not None:
                 for record in records:
@@ -327,11 +268,7 @@ def run_grid(
                 for app_name in apps:
                     for seed in seeds:
                         record = run_cell(
-                            plan_name,
-                            app_name,
-                            seed,
-                            compile_arm=compile_arm,
-                            fastpath_arm=fastpath_arm,
+                            plan_name, app_name, seed, compile_arm=compile_arm
                         )
                         records.append(record)
                         if out is not None:
@@ -379,7 +316,6 @@ def run_forked_grid(
     apps: Sequence[str] = ("frr", "migration"),
     seeds: Sequence[int] = (1,),
     compile_arm: bool = False,
-    fastpath_arm: bool = False,
 ) -> Dict[str, object]:
     """The fork-amortized grid as a registered scenario runner.
 
@@ -389,8 +325,7 @@ def run_forked_grid(
     violation total, and the per-cell fingerprints.
     """
     records = run_forked_cells(
-        list(plans), list(apps), list(seeds), compile_arm=compile_arm,
-        fastpath_arm=fastpath_arm,
+        list(plans), list(apps), list(seeds), compile_arm=compile_arm
     )
     return {
         "summary": summary_rows(records),
@@ -414,7 +349,6 @@ def _register_scenarios() -> None:
                     "app_name": app,
                     "seed": 1,
                     "compile_arm": False,
-                    "fastpath_arm": False,
                 },
                 app=app,
                 fault_plan="linkflap",
@@ -433,7 +367,6 @@ def _register_scenarios() -> None:
                 "apps": ["frr", "migration"],
                 "seeds": [1],
                 "compile_arm": False,
-                "fastpath_arm": False,
             },
             seed=1,
             tags=("chaos", "forked"),

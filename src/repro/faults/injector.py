@@ -166,12 +166,6 @@ class FaultInjector:
         self._at(end, spec, "restore", switch.name, self._restore, index, switch)
 
     def _checkpoint(self, index: int, switch) -> None:
-        # Flush fused in-flight deliveries first: their retroactive
-        # extern writes belong to the virtual past and must land before
-        # the snapshot is taken.
-        disrupt = getattr(switch, "fastpath_disrupt", None)
-        if disrupt is not None:
-            disrupt()
         self._snapshots[index] = [
             (store, store.snapshot()) for store in switch.state_stores()
         ]
@@ -188,8 +182,6 @@ class FaultInjector:
             # Cached decisions recorded against post-checkpoint extern
             # state would replay against the rolled-back registers.
             switch.flow_cache.clear()
-        if getattr(switch, "flow_fastpath", None) is not None:
-            switch.flow_fastpath.clear()
         switch.unstall()
 
     def _arm_control_churn(self, index: int, spec: FaultSpec, rng: SeededRng) -> None:

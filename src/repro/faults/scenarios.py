@@ -120,27 +120,6 @@ class Scenario:
             if switch.flow_cache is not None
         ]
 
-    def fastpath_totals(self) -> Dict[str, int]:
-        """Flow-fastpath counters summed across the scenario's switches."""
-        totals = {
-            "paths_built": 0,
-            "fused": 0,
-            "materialized": 0,
-            "fallbacks": 0,
-            "invalidations": 0,
-        }
-        for _name, switch in sorted(self.network.switches.items()):
-            fastpath = getattr(switch, "flow_fastpath", None)
-            if fastpath is None:
-                continue
-            stats = fastpath.stats
-            totals["paths_built"] += stats.paths_built
-            totals["fused"] += stats.fused
-            totals["materialized"] += stats.materialized
-            totals["fallbacks"] += stats.fallbacks_total
-            totals["invalidations"] += stats.invalidations
-        return totals
-
     # ------------------------------------------------------------------
     # Behavior fingerprint
     # ------------------------------------------------------------------
@@ -188,7 +167,6 @@ def build_frr(
     seed: int,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ) -> Scenario:
     """Fast re-route on the diamond: LINK_STATUS flips to backups."""
     network = _build_diamond(
@@ -196,7 +174,6 @@ def build_frr(
             queue_capacity_bytes=16 * 1024,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         )
     )
     head = FastRerouteProgram()
@@ -244,7 +221,6 @@ def build_liveness(
     seed: int,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ) -> Scenario:
     """Data-plane liveness probing across the link the faults target."""
     network = Network()
@@ -252,7 +228,6 @@ def build_liveness(
             queue_capacity_bytes=16 * 1024,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         )
     s0 = network.add_switch(factory(network.sim, "s0", 3))
     s1 = network.add_switch(factory(network.sim, "s1", 2))
@@ -316,7 +291,6 @@ def build_hula(
     seed: int,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ) -> Scenario:
     """HULA probes and flowlets on a 2x2 leaf-spine fabric."""
     fabric = build_leaf_spine(
@@ -324,7 +298,6 @@ def build_hula(
             queue_capacity_bytes=32 * 1024,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         ),
         leaf_count=2,
         spine_count=2,
@@ -393,7 +366,6 @@ def build_migration(
     seed: int,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ) -> Scenario:
     """Swing-state budget migration on the diamond."""
     network = _build_diamond(
@@ -401,7 +373,6 @@ def build_migration(
             queue_capacity_bytes=16 * 1024,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         )
     )
     head = SwingStateHeadProgram(migrate=True)
@@ -450,25 +421,19 @@ def build_l3chain(
     seed: int,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ) -> Scenario:
-    """Static routing on a baseline-PSA chain: the fastpath's home turf.
+    """Static routing on a three-switch baseline-PSA chain.
 
-    The other chaos apps run SUME event switches, whose receive path
-    never fuses; this scenario is the one whose cells actually exercise
-    end-to-end fusion — and, under every fault plan, disruption-time
-    materialization.  The CBR pacing keeps the inter-packet gap well
-    above the fused window so steady-state traffic fuses hop-for-hop,
-    and the burst target pauses an **on-path** egress port: a fused
-    window interrupted by the pause must materialize and queue exactly
-    like the per-hop reference.
+    The other chaos apps run SUME event switches; this scenario keeps a
+    baseline-PSA datapath (flow cache and compiled walks included)
+    under every fault plan.  The burst target pauses an **on-path**
+    egress port, so paused traffic queues behind the fault.
     """
     network = build_linear(
         make_baseline_switch(
             queue_capacity_bytes=16 * 1024,
             flow_cache=flow_cache,
             compile=compile,
-            fastpath=fastpath,
         ),
         switch_count=3,
     )
@@ -520,7 +485,6 @@ def build_scenario(
     seed: int,
     flow_cache: Optional[bool] = None,
     compile: Optional[bool] = None,
-    fastpath: Optional[bool] = None,
 ) -> Scenario:
     """Build one app scenario by name."""
     try:
@@ -528,4 +492,4 @@ def build_scenario(
     except KeyError:
         choices = sorted(SCENARIOS)
         raise ValueError(f"unknown chaos app {app!r}; pick from {choices}") from None
-    return builder(seed, flow_cache=flow_cache, compile=compile, fastpath=fastpath)
+    return builder(seed, flow_cache=flow_cache, compile=compile)

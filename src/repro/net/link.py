@@ -84,10 +84,6 @@ class Link:
         self.corrupted_packets = 0
         self.in_flight = 0
         self.impairment: Optional[LinkImpairment] = None
-        #: Bumped on every status flip or impairment change; path-level
-        #: consumers (the flow fastpath) fold it into their generation
-        #: vectors so fault injection invalidates fused paths.
-        self.epoch = 0
 
     # ------------------------------------------------------------------
     # Datapath
@@ -141,12 +137,7 @@ class Link:
     # ------------------------------------------------------------------
     def set_impairment(self, impairment: Optional[LinkImpairment]) -> None:
         """Attach (or with None, detach) a degradation policy."""
-        for node in (self.node_a, self.node_b):
-            disrupt = getattr(node, "fastpath_disrupt", None)
-            if disrupt is not None:
-                disrupt()
         self.impairment = impairment
-        self.epoch += 1
 
     def conservation_ledger(self) -> dict:
         """The exact packet ledger: tx == delivered + lost + corrupted + in_flight."""
@@ -166,7 +157,6 @@ class Link:
         if self.up == up:
             return
         self.up = up
-        self.epoch += 1
         self.node_a.set_link_status(self.port_a, up)
         self.node_b.set_link_status(self.port_b, up)
 

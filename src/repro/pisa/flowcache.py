@@ -410,7 +410,6 @@ class FlowCache:
         "_program",
         "_registered",
         "name",
-        "attach_epoch",
         "__weakref__",
     )
 
@@ -426,7 +425,6 @@ class FlowCache:
         self._externs: List[object] = []
         self._program = None
         self._registered = False
-        self.attach_epoch = 0
         for collector in _COLLECTORS:
             collector.append(self)
 
@@ -437,9 +435,6 @@ class FlowCache:
         """Bind to a loaded program: discover versioned deps and externs."""
         self._program = program
         self._entries.clear()
-        # Bumped so path-level consumers (the flow fastpath) can tell a
-        # re-attach from a coincidentally equal fresh generation vector.
-        self.attach_epoch += 1
         deps: List[object] = []
         externs: List[object] = []
         if program is not None:
@@ -486,7 +481,6 @@ class FlowCache:
         self._externs = []
         self._program = None
         self._registered = False
-        self.attach_epoch = 0
         program = state["program"]
         if program is not None:
             self.attach(program)

@@ -139,9 +139,6 @@ class TrafficManager:
             )
         self.hooks = TmEventHooks()
         self.egress_callback: Optional[Callable[[Packet, int], None]] = None
-        #: Wired by the owning switch: pausing a port is a disruption
-        #: the flow fastpath must materialize in-flight fusions for.
-        self.fastpath_disrupt: Optional[Callable[[], None]] = None
         self.drops_overflow = 0
         self.total_enqueued = 0
         self.total_dequeued = 0
@@ -162,9 +159,6 @@ class TrafficManager:
     def set_port_enabled(self, port: int, enabled: bool) -> None:
         """Administratively enable or disable a port (link failure)."""
         port_obj = self._port(port)
-        disrupt = self.fastpath_disrupt
-        if disrupt is not None:
-            disrupt()
         port_obj.enabled = enabled
         if enabled:
             self._kick(port_obj)

